@@ -75,11 +75,6 @@ class SharedAgenda:
         self.require_current = require_current
 
     @property
-    def ums(self):
-        """Deprecated alias of :attr:`service` (kept for the pre-API callers)."""
-        return self.service
-
-    @property
     def key(self) -> str:
         """The DHT key under which the agenda is replicated."""
         return f"agenda:{self.agenda_id}"

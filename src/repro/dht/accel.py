@@ -1,4 +1,4 @@
-"""Optional numpy acceleration for the columnar overlays (``repro[fast]``).
+"""Optional numpy acceleration for the packed-array overlays (``repro[fast]``).
 
 Every helper here has a pure-python fallback that produces *identical*
 results, so installing numpy changes wall-clock time only — never routes,

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.dht.errors import (
+    DHTError,
     EmptyNetworkError,
     InvalidConfigurationError,
-    NodeAlreadyPresentError,
     NoSuchPeerError,
 )
 from repro.dht.model import DepartureReason, DHTProtocol, RouteResult
@@ -105,8 +105,8 @@ class CanSpace(DHTProtocol):
     Parameters
     ----------
     bits:
-        Total number of identifier bits; each of the ``dimensions`` axes gets
-        ``bits // dimensions`` bits.
+        Total number of identifier bits (3 to 64); each of the ``dimensions``
+        axes gets ``bits // dimensions`` bits.
     dimensions:
         Dimensionality *d* of the space (the original paper uses small *d*,
         typically 2–4).
@@ -114,6 +114,9 @@ class CanSpace(DHTProtocol):
 
     def __init__(self, bits: int = 32, *, dimensions: int = 2,
                  rng: Optional[random.Random] = None) -> None:
+        if not 3 <= bits <= 64:
+            raise InvalidConfigurationError(
+                f"CAN identifier space must use between 3 and 64 bits, got {bits}")
         if dimensions < 1:
             raise InvalidConfigurationError("dimensions must be >= 1")
         if bits < dimensions or bits // dimensions < 2:
@@ -124,6 +127,10 @@ class CanSpace(DHTProtocol):
         self.bits_per_dimension = bits // dimensions
         self._rng = rng if rng is not None else random.Random(0)
         self._zones: Dict[int, List[Zone]] = {}
+        # Point-ownership index over the same zones: packed zone bounds (see
+        # :meth:`_pack_zone`) -> owner.  Kept in step with ``_zones`` by the
+        # three zone-table mutators below.
+        self._zone_index: Dict[int, int] = {}
         self._departed: Dict[int, Tuple[str, float]] = {}
         self._init_version_caches()
         self._neighbors_cache: Dict[int, Set[int]] = {}
@@ -132,10 +139,6 @@ class CanSpace(DHTProtocol):
         self._neighbors_cache.clear()
 
     # ------------------------------------------------------------------ helpers
-    @property
-    def space_size(self) -> int:
-        return 1 << self.bits
-
     @property
     def axis_size(self) -> int:
         """Number of coordinate values along each axis."""
@@ -172,11 +175,7 @@ class CanSpace(DHTProtocol):
         return sum(zone.volume for zone in self.zones_of(node_id))
 
     def add_node(self, node_id: int, *, now: float = 0.0) -> Set[int]:
-        if node_id in self._zones:
-            raise NodeAlreadyPresentError(node_id)
-        if not 0 <= node_id < self.space_size:
-            raise InvalidConfigurationError(
-                f"node id {node_id} outside identifier space [0, 2^{self.bits})")
+        self._check_joiner(node_id)
         self._departed.pop(node_id, None)
         if not self._zones:
             self._grant_zone(node_id, self._whole_space())
@@ -217,27 +216,40 @@ class CanSpace(DHTProtocol):
             takeover = self._takeover_candidate(zone)
             self._grant_zone(takeover, zone)
 
-    # --------------------------------------------------------- zone-table hooks
+    # --------------------------------------------------------------- zone table
     # Every mutation of the node -> zones table funnels through these three
-    # methods so alternative representations (the columnar packed zone table in
-    # :mod:`repro.dht.columnar.can`) can maintain their point-lookup indexes
-    # without re-implementing the join/leave protocol above.
+    # methods, which keep the point-ownership index in step with it.
+
+    def _pack_zone(self, zone: Zone) -> int:
+        """Pack a zone's bounds into one integer key.
+
+        Each bound coordinate lies in ``[0, axis_size]`` (inclusive upper
+        bounds occur at the space edge), so it needs ``bits_per_dimension + 1``
+        bits; the ``2·d`` bounds are concatenated.  Distinct zones always pack
+        to distinct keys.
+        """
+        width = self.bits_per_dimension + 1
+        packed = 0
+        for low, high in zip(zone.lo, zone.hi):
+            packed = (packed << (2 * width)) | (low << width) | high
+        return packed
 
     def _grant_zone(self, node_id: int, zone: Zone) -> None:
         """Assign ``zone`` to ``node_id`` (creating its entry on first grant)."""
-        zones = self._zones.get(node_id)
-        if zones is None:
-            self._zones[node_id] = [zone]
-        else:
-            zones.append(zone)
+        self._zones.setdefault(node_id, []).append(zone)
+        self._zone_index[self._pack_zone(zone)] = node_id
 
     def _revoke_zone(self, node_id: int, zone: Zone) -> None:
         """Take ``zone`` away from ``node_id`` (it is about to be split)."""
         self._zones[node_id].remove(zone)
+        del self._zone_index[self._pack_zone(zone)]
 
     def _drop_node_zones(self, node_id: int) -> List[Zone]:
         """Remove ``node_id`` from the zone table, returning its zones."""
-        return self._zones.pop(node_id)
+        abandoned = self._zones.pop(node_id)
+        for zone in abandoned:
+            del self._zone_index[self._pack_zone(zone)]
+        return abandoned
 
     def _takeover_candidate(self, zone: Zone) -> int:
         """The neighbour with the smallest owned volume takes over ``zone``."""
@@ -257,11 +269,29 @@ class CanSpace(DHTProtocol):
 
     # ----------------------------------------------------------- responsibility
     def _owner_of(self, coords: Sequence[int]) -> int:
-        for node_id, zones in self._zones.items():
-            for zone in zones:
-                if zone.contains(coords):
-                    return node_id
-        raise EmptyNetworkError("the CAN space has no live nodes")
+        """Descend the canonical split tree to the zone containing ``coords``.
+
+        Zones only ever arise from deterministic halving splits of the whole
+        space (never merged; takeover reassigns them intact), so every live
+        zone is a node of one fixed binary tree rooted at the whole space.
+        The live zone containing a point is reached by repeatedly splitting
+        from the root and following the half containing the point until an
+        indexed zone is hit: at most ``bits`` splits instead of a scan over
+        every zone.
+        """
+        if not self._zones:
+            raise EmptyNetworkError("the CAN space has no live nodes")
+        zone = self._whole_space()
+        for _ in range(self.bits + 1):
+            owner = self._zone_index.get(self._pack_zone(zone))
+            if owner is not None:
+                return owner
+            if max(high - low for low, high in zip(zone.lo, zone.hi)) < 2:
+                break
+            first, second = zone.split()
+            zone = first if first.contains(coords) else second
+        raise DHTError(  # pragma: no cover - the index mirrors the zone table
+            f"no indexed zone contains {tuple(coords)}: zone index out of sync")
 
     def _zone_containing(self, owner: int, coords: Sequence[int]) -> Zone:
         for zone in self._zones[owner]:
@@ -272,8 +302,8 @@ class CanSpace(DHTProtocol):
     def responsible_for(self, point: int) -> int:
         if not self._zones:
             raise EmptyNetworkError("the CAN space has no live nodes")
-        # The zone scan is O(peers); memoise per membership version so hot
-        # points resolve in a dictionary hit.
+        # Memoised per membership version so hot points resolve in a
+        # dictionary hit instead of a split-tree descent.
         return self._memoised_responsible(
             point, lambda p: self._owner_of(self.coordinates(p)))
 
@@ -309,11 +339,6 @@ class CanSpace(DHTProtocol):
                     break
         self._neighbors_cache[node_id] = neighbor_set
         return set(neighbor_set)
-
-    def departure_reason(self, node_id: int) -> Optional[str]:
-        """How a departed node left (``"leave"``/``"fail"``), if known."""
-        record = self._departed.get(node_id)
-        return record[0] if record else None
 
     # ------------------------------------------------------------------ routing
     def route(self, origin: int, point: int, *, now: float = 0.0) -> RouteResult:

@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import bisect
 import random
+from array import array
 from dataclasses import dataclass
-from typing import Dict, List, MutableSequence, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.dht import accel
 from repro.dht.errors import (
     EmptyNetworkError,
     InvalidConfigurationError,
-    NodeAlreadyPresentError,
     NoSuchPeerError,
 )
 from repro.dht.model import DepartureReason, DHTProtocol, RouteResult
@@ -57,8 +58,10 @@ class ChordRing(DHTProtocol):
     Parameters
     ----------
     bits:
-        Size of the identifier space (``2^bits`` points).  32 bits comfortably
-        holds the paper's 10,000 peers with negligible collision probability.
+        Size of the identifier space (``2^bits`` points, at most 64 so that
+        identifiers fit the packed ``array('Q')`` columns).  32 bits
+        comfortably holds the paper's 10,000 peers with negligible collision
+        probability.
     stabilization_interval:
         Simulated seconds between refreshes of a node's finger table.  ``0``
         models perfectly fresh routing state (no failure penalty).
@@ -69,17 +72,17 @@ class ChordRing(DHTProtocol):
 
     def __init__(self, bits: int = 32, *, stabilization_interval: float = 30.0,
                  rng: Optional[random.Random] = None) -> None:
-        if not 3 <= bits <= 160:
+        if not 3 <= bits <= 64:
             raise InvalidConfigurationError(
-                f"chord identifier space must use between 3 and 160 bits, got {bits}")
+                f"chord identifier space must use between 3 and 64 bits, got {bits}")
         if stabilization_interval < 0:
             raise InvalidConfigurationError("stabilization_interval must be >= 0")
         self.bits = bits
         self.stabilization_interval = stabilization_interval
         self._rng = rng if rng is not None else random.Random(0)
-        # Sorted node identifiers.  Declared as a mutable sequence so the
-        # columnar subclass can swap in a packed array('Q') column.
-        self._members: MutableSequence[int] = []
+        # Sorted node identifiers, packed 8 bytes apiece; bisect and insort
+        # operate on the column directly.
+        self._members = array("Q")
         self._member_set: Set[int] = set()
         self._departed: Dict[int, Tuple[str, float]] = {}
         self._fingers: Dict[int, _FingerTable] = {}
@@ -88,12 +91,6 @@ class ChordRing(DHTProtocol):
 
     def _clear_version_caches(self) -> None:
         self._current_fingers.clear()
-
-    # ------------------------------------------------------------------ sizing
-    @property
-    def space_size(self) -> int:
-        """Number of identifier points on the ring."""
-        return 1 << self.bits
 
     def nodes(self) -> Sequence[int]:
         return self._cached_nodes(lambda: tuple(self._members))
@@ -106,11 +103,7 @@ class ChordRing(DHTProtocol):
 
     # -------------------------------------------------------------- membership
     def add_node(self, node_id: int, *, now: float = 0.0) -> Set[int]:
-        if not 0 <= node_id < self.space_size:
-            raise InvalidConfigurationError(
-                f"node id {node_id} outside identifier space [0, 2^{self.bits})")
-        if node_id in self._member_set:
-            raise NodeAlreadyPresentError(node_id)
+        self._check_joiner(node_id)
         bisect.insort(self._members, node_id)
         self._member_set.add(node_id)
         self._departed.pop(node_id, None)
@@ -132,11 +125,6 @@ class ChordRing(DHTProtocol):
         self._fingers.pop(node_id, None)
         self._departed[node_id] = (reason, now)
         self._membership_changed()
-
-    def departure_reason(self, node_id: int) -> Optional[str]:
-        """How a departed node left (``"leave"``/``"fail"``), if known."""
-        record = self._departed.get(node_id)
-        return record[0] if record else None
 
     # ----------------------------------------------------------- responsibility
     def successor(self, point: int) -> int:
@@ -221,17 +209,23 @@ class ChordRing(DHTProtocol):
     def _compute_fingers(self, node_id: int) -> Sequence[int]:
         """Finger ``i`` is the successor of ``node_id + 2^i`` over live members.
 
-        Results are memoised per membership version (shared with
-        :meth:`neighbors`); the scan only reruns after a join/leave/failure.
+        Deduplicated, self excluded, packed into an ``array('Q')``; all
+        ``bits`` successor searches are answered in one batched pass over the
+        member column.  Results are memoised per membership version (shared
+        with :meth:`neighbors`); the scan only reruns after a
+        join/leave/failure.
         """
-        entries = self._current_fingers.get(node_id)
-        if entries is not None:
-            return entries
-        entries: List[int] = []
+        cached = self._current_fingers.get(node_id)
+        if cached is not None:
+            return cached
+        members = self._members
+        size = self.space_size
+        targets = [(node_id + (1 << exponent)) % size
+                   for exponent in range(self.bits)]
+        entries = array("Q")
         seen: Set[int] = set()
-        for exponent in range(self.bits):
-            target = (node_id + (1 << exponent)) % self.space_size
-            finger = self.successor(target)
+        for position in accel.successor_positions(members, targets):
+            finger = members[position]
             if finger != node_id and finger not in seen:
                 seen.add(finger)
                 entries.append(finger)
@@ -299,9 +293,8 @@ class ChordRing(DHTProtocol):
             if not self._in_open_interval(finger, current, point):
                 continue
             if finger not in self._member_set:
-                reason = self._departed.get(finger, (DepartureReason.LEAVE, 0.0))[0]
                 retries += 1
-                if reason == DepartureReason.FAIL:
+                if self.departure_reason(finger) == DepartureReason.FAIL:
                     timeouts += 1
                 continue
             distance = self._clockwise_distance(finger, point)

@@ -52,28 +52,18 @@ from __future__ import annotations
 
 import bisect
 import random
-from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    List,
-    MutableSequence,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from array import array
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.dht import accel
 from repro.dht.errors import (
     EmptyNetworkError,
     InvalidConfigurationError,
-    NodeAlreadyPresentError,
     NoSuchPeerError,
 )
 from repro.dht.model import DepartureReason, DHTProtocol, RouteResult
 
 __all__ = [
-    "KBucket",
     "KademliaOverlay",
     "RoutingTable",
     "common_prefix_length",
@@ -94,26 +84,45 @@ def common_prefix_length(first: int, second: int, bits: int) -> int:
     return bits - distance.bit_length()
 
 
-@dataclass
-class KBucket:
-    """One k-bucket: up to ``capacity`` contacts in least-recently-seen order.
+class RoutingTable:
+    """The k-buckets of one node, indexed by XOR-distance magnitude.
 
-    ``contacts[0]`` is the least recently seen contact, ``contacts[-1]`` the
-    most recently seen one.
+    Bucket ``i`` holds contacts at distance ``[2^i, 2^(i+1))`` from the owner,
+    i.e. contacts whose common prefix with the owner is ``bits - 1 - i`` bits.
+    Each bucket is a packed ``array('Q')`` row in least-recently-seen order:
+    index 0 is the least recently seen contact, the tail the most recently
+    seen one.  Rows are created lazily; most of the ``bits`` buckets stay
+    empty.
     """
 
-    capacity: int
-    contacts: List[int] = field(default_factory=list)
+    def __init__(self, owner: int, bits: int, k: int) -> None:
+        self.owner = owner
+        self.bits = bits
+        self.k = k
+        self._rows: Dict[int, "array[int]"] = {}
 
-    def __contains__(self, contact: int) -> bool:
-        return contact in self.contacts
+    def bucket_index(self, contact: int) -> int:
+        """Index of the bucket responsible for ``contact``."""
+        distance = self.owner ^ contact
+        if distance == 0:
+            raise InvalidConfigurationError(
+                f"node {self.owner} cannot keep itself in its routing table")
+        return distance.bit_length() - 1
 
-    def __len__(self) -> int:
-        return len(self.contacts)
+    def _row(self, index: int) -> "array[int]":
+        row = self._rows.get(index)
+        if row is None:
+            row = array("Q")
+            self._rows[index] = row
+        return row
 
-    @property
-    def full(self) -> bool:
-        return len(self.contacts) >= self.capacity
+    def bucket(self, index: int) -> List[int]:
+        """A snapshot of bucket ``index``, least recently seen first.
+
+        Mutating the returned list does not write back to the table; the
+        update paths are :meth:`observe`/:meth:`learn`/:meth:`discard`.
+        """
+        return list(self._rows.get(index, ()))
 
     def observe(self, contact: int, is_alive: Callable[[int], bool]) -> bool:
         """Record direct communication with ``contact`` (Kademlia's update rule).
@@ -125,22 +134,23 @@ class KBucket:
         newcomer takes its place.  Returns ``True`` when ``contact`` is in the
         bucket afterwards.
         """
-        if contact in self.contacts:
-            self.contacts.remove(contact)
-            self.contacts.append(contact)
+        if contact == self.owner:
+            return False
+        row = self._row(self.bucket_index(contact))
+        if contact in row:
+            row.remove(contact)
+            row.append(contact)
             return True
-        if not self.full:
-            self.contacts.append(contact)
+        if len(row) < self.k:
+            row.append(contact)
             return True
-        least_recently_seen = self.contacts[0]
+        least_recently_seen = row.pop(0)
         if is_alive(least_recently_seen):
             # The LRS contact answered the ping: keep it (old contacts are the
             # most likely to stay online) and drop the newcomer.
-            self.contacts.pop(0)
-            self.contacts.append(least_recently_seen)
+            row.append(least_recently_seen)
             return False
-        self.contacts.pop(0)
-        self.contacts.append(contact)
+        row.append(contact)
         return True
 
     def learn(self, contact: int) -> bool:
@@ -149,87 +159,44 @@ class KBucket:
         Passively learned contacts never displace existing entries and do not
         refresh recency; they are only appended when there is room.
         """
-        if contact in self.contacts:
-            return True
-        if self.full:
+        if contact == self.owner:
             return False
-        self.contacts.append(contact)
+        row = self._row(self.bucket_index(contact))
+        if contact in row:
+            return True
+        if len(row) >= self.k:
+            return False
+        row.append(contact)
         return True
 
     def discard(self, contact: int) -> None:
         """Drop ``contact`` (e.g. after it failed to answer a lookup)."""
-        try:
-            self.contacts.remove(contact)
-        except ValueError:
-            pass
-
-
-class RoutingTable:
-    """The k-buckets of one node, indexed by XOR-distance magnitude.
-
-    Bucket ``i`` holds contacts at distance ``[2^i, 2^(i+1))`` from the owner,
-    i.e. contacts whose common prefix with the owner is ``bits - 1 - i`` bits.
-    Buckets are created lazily; most of the ``bits`` buckets stay empty.
-    """
-
-    def __init__(self, owner: int, bits: int, k: int) -> None:
-        self.owner = owner
-        self.bits = bits
-        self.k = k
-        self._buckets: Dict[int, KBucket] = {}
-
-    def bucket_index(self, contact: int) -> int:
-        """Index of the bucket responsible for ``contact``."""
-        distance = self.owner ^ contact
-        if distance == 0:
-            raise InvalidConfigurationError(
-                f"node {self.owner} cannot keep itself in its routing table")
-        return distance.bit_length() - 1
-
-    def bucket(self, index: int) -> KBucket:
-        """The bucket at ``index`` (created empty on first access)."""
-        bucket = self._buckets.get(index)
-        if bucket is None:
-            bucket = KBucket(capacity=self.k)
-            self._buckets[index] = bucket
-        return bucket
-
-    def observe(self, contact: int, is_alive: Callable[[int], bool]) -> bool:
-        """Record direct communication with ``contact``."""
-        if contact == self.owner:
-            return False
-        return self.bucket(self.bucket_index(contact)).observe(contact, is_alive)
-
-    def learn(self, contact: int) -> bool:
-        """Record a contact learned from a lookup reply."""
-        if contact == self.owner:
-            return False
-        return self.bucket(self.bucket_index(contact)).learn(contact)
-
-    def discard(self, contact: int) -> None:
-        """Drop ``contact`` from its bucket, if present."""
         if contact == self.owner:
             return
-        bucket = self._buckets.get(self.bucket_index(contact))
-        if bucket is not None:
-            bucket.discard(contact)
+        row = self._rows.get(self.bucket_index(contact))
+        if row is not None and contact in row:
+            row.remove(contact)
+
+    def _packed_contacts(self) -> "array[int]":
+        """Every contact, concatenated over rows in bucket-index order."""
+        entries = array("Q")
+        for index in sorted(self._rows):
+            entries.extend(self._rows[index])
+        return entries
 
     def contacts(self) -> List[int]:
         """Every contact currently held, over all buckets."""
-        entries: List[int] = []
-        for index in sorted(self._buckets):
-            entries.extend(self._buckets[index].contacts)
-        return entries
+        return list(self._packed_contacts())
 
     def closest(self, point: int, count: int) -> List[int]:
         """The ``count`` known contacts closest (XOR) to ``point``."""
-        return sorted(self.contacts(), key=lambda contact: contact ^ point)[:count]
+        return accel.xor_closest(self._packed_contacts(), point, count)
 
     def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._buckets.values())
+        return sum(len(row) for row in self._rows.values())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        populated = sum(1 for bucket in self._buckets.values() if len(bucket))
+        populated = sum(1 for row in self._rows.values() if len(row))
         return (f"RoutingTable(owner={self.owner}, contacts={len(self)}, "
                 f"buckets={populated})")
 
@@ -240,7 +207,8 @@ class KademliaOverlay(DHTProtocol):
     Parameters
     ----------
     bits:
-        Size of the identifier space; the same 32-bit default as the other
+        Size of the identifier space (3 to 64 bits, so identifiers fit the
+        packed ``array('Q')`` columns); the same 32-bit default as the other
         overlays so one hash family drives all of them.
     k:
         Bucket capacity (the system-wide replication/bucket parameter of the
@@ -257,9 +225,9 @@ class KademliaOverlay(DHTProtocol):
 
     def __init__(self, bits: int = 32, *, k: int = 16, alpha: int = 3,
                  rng: Optional[random.Random] = None) -> None:
-        if not 3 <= bits <= 160:
+        if not 3 <= bits <= 64:
             raise InvalidConfigurationError(
-                f"kademlia identifier space must use between 3 and 160 bits, got {bits}")
+                f"kademlia identifier space must use between 3 and 64 bits, got {bits}")
         if k < 1:
             raise InvalidConfigurationError("bucket capacity k must be >= 1")
         if alpha < 1:
@@ -268,9 +236,9 @@ class KademliaOverlay(DHTProtocol):
         self.k = k
         self.alpha = alpha
         self._rng = rng if rng is not None else random.Random(0)
-        # Sorted live node identifiers.  Declared as a mutable sequence so the
-        # columnar subclass can swap in a packed array('Q') column.
-        self._members: MutableSequence[int] = []
+        # Sorted live node identifiers, packed 8 bytes apiece; the trie
+        # descent bisects the column directly.
+        self._members = array("Q")
         self._member_set: Set[int] = set()
         self._departed: Dict[int, Tuple[str, float]] = {}
         self._tables: Dict[int, RoutingTable] = {}
@@ -278,12 +246,6 @@ class KademliaOverlay(DHTProtocol):
         # responsibility depends only on the live membership, so the
         # point -> closest-member memo keys on the version counter alone.
         self._init_version_caches()
-
-    # ------------------------------------------------------------------ sizing
-    @property
-    def space_size(self) -> int:
-        """Number of points in the identifier space."""
-        return 1 << self.bits
 
     def nodes(self) -> Sequence[int]:
         return self._cached_nodes(lambda: tuple(self._members))
@@ -294,23 +256,16 @@ class KademliaOverlay(DHTProtocol):
     def __len__(self) -> int:
         return len(self._members)
 
-    def _is_live(self, node_id: int) -> bool:
-        return node_id in self._member_set
-
     # -------------------------------------------------------------- membership
     def add_node(self, node_id: int, *, now: float = 0.0) -> Set[int]:
-        if not 0 <= node_id < self.space_size:
-            raise InvalidConfigurationError(
-                f"node id {node_id} outside identifier space [0, 2^{self.bits})")
-        if node_id in self._member_set:
-            raise NodeAlreadyPresentError(node_id)
+        self._check_joiner(node_id)
         affected = self._deepest_bucket_members(node_id)
         index = bisect.bisect_left(self._members, node_id)
         self._members.insert(index, node_id)
         self._member_set.add(node_id)
         self._departed.pop(node_id, None)
         self._membership_changed()
-        table = self._new_table(node_id)
+        table = RoutingTable(node_id, self.bits, self.k)
         self._tables[node_id] = table
         if affected:
             # Join protocol: seed the table with a bootstrap contact (a
@@ -318,7 +273,7 @@ class KademliaOverlay(DHTProtocol):
             # the own identifier to populate the buckets near it.
             draw = self._rng.randrange(len(self._members) - 1)
             bootstrap = self._members[draw if draw < index else draw + 1]
-            table.observe(bootstrap, self._is_live)
+            table.observe(bootstrap, self.__contains__)
             self._iterative_lookup(node_id, node_id, self_distance=None)
             # The newcomer and the nodes it displaces exchange the handover
             # traffic, so they learn about each other directly.
@@ -326,16 +281,6 @@ class KademliaOverlay(DHTProtocol):
                 self._observe(node_id, previous_owner)
                 self._observe(previous_owner, node_id)
         return affected
-
-    def _new_table(self, node_id: int) -> RoutingTable:
-        """Representation hook: build the routing table of a joining node.
-
-        The columnar overlay (:mod:`repro.dht.columnar.kademlia`) overrides
-        this to return packed-array-backed buckets; the routing algorithms
-        above only use the :class:`RoutingTable` API, so the two
-        representations stay behaviourally identical.
-        """
-        return RoutingTable(node_id, self.bits, self.k)
 
     def _deepest_bucket_members(self, node_id: int) -> Set[int]:
         """The live nodes sharing the longest common prefix with ``node_id``.
@@ -376,11 +321,6 @@ class KademliaOverlay(DHTProtocol):
         self._membership_changed()
         # Other nodes keep the departed contact in their buckets until a
         # lookup runs into it (stale-state realism; there is no oracle purge).
-
-    def departure_reason(self, node_id: int) -> Optional[str]:
-        """How a departed node left (``"leave"``/``"fail"``), if known."""
-        record = self._departed.get(node_id)
-        return record[0] if record else None
 
     # ----------------------------------------------------------- responsibility
     def _descend(self, point: int, lo: int, hi: int
@@ -504,9 +444,8 @@ class KademliaOverlay(DHTProtocol):
                 # Stale bucket entry: the query is wasted (a retry); failures
                 # additionally cost a timeout in the cost model.  The origin
                 # drops the unresponsive contact from its table.
-                reason = self._departed.get(candidate, (DepartureReason.LEAVE, 0.0))[0]
                 retries += 1
-                if reason == DepartureReason.FAIL:
+                if self.departure_reason(candidate) == DepartureReason.FAIL:
                     timeouts += 1
                 dead.add(candidate)
                 table.discard(candidate)
@@ -533,7 +472,7 @@ class KademliaOverlay(DHTProtocol):
     def _observe(self, node_id: int, contact: int) -> None:
         table = self._tables.get(node_id)
         if table is not None and contact != node_id:
-            table.observe(contact, self._is_live)
+            table.observe(contact, self.__contains__)
 
     # ---------------------------------------------------------------- utilities
     def routing_table(self, node_id: int) -> RoutingTable:

@@ -20,6 +20,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.dht.errors import InvalidConfigurationError, NodeAlreadyPresentError
+
 __all__ = [
     "DHTProtocol",
     "DepartureReason",
@@ -102,12 +104,9 @@ class DHTProtocol(abc.ABC):
     #: number of bits of the identifier space
     bits: int
 
-    #: Storage representation of the overlay's hot state: ``"object"`` for the
-    #: reference object graphs, ``"columnar"`` for the packed-array classes in
-    #: :mod:`repro.dht.columnar`.  Representations are behaviourally
-    #: interchangeable; the attribute only serves diagnostics and bench
-    #: metadata.
-    representation: str = "object"
+    #: Departed node -> ``(reason, time)``; implementations record every
+    #: ``remove_node`` here and drop the entry when the node rejoins.
+    _departed: Dict[int, Tuple[str, float]]
 
     #: Membership version counter.  Implementations increment it on every
     #: ``add_node``/``remove_node`` (via :meth:`_membership_changed`) so that
@@ -118,19 +117,22 @@ class DHTProtocol(abc.ABC):
     version: int = 0
 
     @property
-    def protocol_name(self) -> str:
-        """Representation-independent protocol name.
+    def space_size(self) -> int:
+        """Number of points in the identifier space ``[0, 2^bits)``."""
+        return 1 << self.bits
 
-        The columnar classes subclass the object ones, so the *protocol* a
-        peer speaks is named by the deepest base class that directly
-        subclasses :class:`DHTProtocol` (``"ChordRing"`` whether the ring is
-        object-graph or columnar).  Wire-level info and experiment metadata
-        use this so artifacts stay comparable across representations.
-        """
-        for klass in type(self).__mro__:
-            if DHTProtocol in klass.__bases__:
-                return klass.__name__
-        return type(self).__name__
+    def _check_joiner(self, node_id: int) -> None:
+        """Reject a joining identifier outside the space or already present."""
+        if not 0 <= node_id < self.space_size:
+            raise InvalidConfigurationError(
+                f"node id {node_id} outside identifier space [0, 2^{self.bits})")
+        if node_id in self:
+            raise NodeAlreadyPresentError(node_id)
+
+    def departure_reason(self, node_id: int) -> Optional[str]:
+        """How a departed node left (``"leave"``/``"fail"``), if known."""
+        record = self._departed.get(node_id)
+        return record[0] if record else None
 
     # --------------------------------------------- versioned-cache plumbing
     # Shared by the overlay implementations so the invalidation protocol

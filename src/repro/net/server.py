@@ -220,8 +220,7 @@ class NodeServer:
             return "pong"
         if op == "info":
             return {"peers": self.cluster.size,
-                    "protocol": self.cluster.network.protocol.protocol_name,
-                    "representation": self.cluster.network.protocol.representation,
+                    "protocol": type(self.cluster.network.protocol).__name__,
                     "service": self.cluster.service_name,
                     "replicas": self.cluster.replication.factor,
                     "wire_formats": list(codec.WIRE_FORMATS),
@@ -280,7 +279,6 @@ class _Connection:
         self.queue: "asyncio.Queue" = asyncio.Queue(maxsize=server.max_inflight)
         self.task: Optional["asyncio.Task"] = None
         self._eof = False
-        self._executing = 0
 
     async def run(self) -> None:
         """Drive the reader and worker tasks until EOF or shutdown."""
@@ -317,16 +315,16 @@ class _Connection:
     async def _work(self) -> None:
         while True:
             item = await self.queue.get()
-            if item is None:
-                if self._eof and self.queue.empty():
-                    return
-                continue
-            request, wire_format = item
-            self._executing += 1
             try:
-                await self._execute(request, wire_format)
+                if item is None:
+                    if self._eof and self.queue.empty():
+                        return
+                    continue
+                await self._execute(*item)
             finally:
-                self._executing -= 1
+                # Every item is marked done once handled (its reply written),
+                # which is what ``drain_and_close`` joins on.
+                self.queue.task_done()
 
     async def _execute(self, request: Dict[str, Any],
                        wire_format: str = codec.FORMAT_JSON) -> None:
@@ -352,8 +350,7 @@ class _Connection:
 
     async def drain_and_close(self) -> None:
         """Finish queued requests, flush replies, then close the link."""
-        while not self.queue.empty() or self._executing:
-            await asyncio.sleep(0)
+        await self.queue.join()
         self._eof = True
         try:
             await self.writer.drain()

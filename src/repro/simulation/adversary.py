@@ -59,8 +59,7 @@ __all__ = [
 #: The three falsification strategies of :class:`TimestampLiar`.
 STRATEGIES = ("stale-replay", "max-lag", "random-lie")
 
-#: Overlay protocol class name (:attr:`repro.dht.model.DHTProtocol.protocol_name`)
-#: -> eclipse capture-set construction mode.
+#: Overlay protocol class name -> eclipse capture-set construction mode.
 _PROTOCOL_CAPTURE_MODES = {
     "ChordRing": "successor-span",
     "KademliaOverlay": "xor-closest",
@@ -284,8 +283,7 @@ class EclipseAttack(FaultProfile):
     served, freezing the key's visible currency at capture time.
 
     ``mode`` is one of :data:`CAPTURE_MODES`, or ``"auto"`` (default) to
-    derive it from the overlay actually running
-    (:attr:`~repro.dht.model.DHTProtocol.protocol_name`).  Capture-set
+    derive it from the class of the overlay actually running.  Capture-set
     construction is deterministic — the profile consumes no randomness at
     all — so the affected set is exact per (overlay, population, point).
     """
@@ -312,7 +310,7 @@ class EclipseAttack(FaultProfile):
         """Resolve ``"auto"`` against the overlay the network actually runs."""
         if self.mode != "auto":
             return self.mode
-        name = network.protocol.protocol_name
+        name = type(network.protocol).__name__
         mode = _PROTOCOL_CAPTURE_MODES.get(name)
         if mode is None:
             raise ValueError(

@@ -5,13 +5,14 @@ given overlay, population and target point, the captured set is a pure
 function — no randomness, no order dependence — and each overlay gets the
 capture-set construction that matches how its lookups actually converge
 (Chord successor span, Kademlia XOR-closest, CAN ring neighbourhood).  The
-suite also pins that the attacks behave identically over the object and
-columnar storage representations, so adversarial results do not depend on
-the layout the run happened to use.
+suite also pins each attacked run's full record by a recorded SHA-256, so a
+change to overlay internals cannot silently move adversarial results.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -135,18 +136,33 @@ class TestAffectedSetOnRealOverlays:
                         "point": int(0.25 * (1 << network.bits))}]
 
 
-class TestRepresentationAgreementUnderAttack:
+#: (overlay, scenario) -> SHA-256 of the run record as sorted-key JSON.
+ATTACKED_RUN_DIGESTS = {
+    ("chord", "eclipse-default"):
+        "616a177b6bf31064cd98fec95fd468ecd7868f066ac5417e624730b8ea829d26",
+    ("chord", "byzantine-half"):
+        "93408d62d1911916614ddc33d8a1f3757087b19e91233103c5e50d12c35b3e90",
+    ("can", "eclipse-default"):
+        "e30ed8b086a9d12abdfa62b593db09dbf5d15c1a25e1fdb07e6beeb4b94b7784",
+    ("can", "byzantine-half"):
+        "291d124c82be29dc2fa42b573218514c902770f0f94240a4804646808cd1236c",
+    ("kademlia", "eclipse-default"):
+        "b364c74237e5259c6f7fee5029ade1437041cba8ff30ef0abbc74eb7f9fc80e0",
+    ("kademlia", "byzantine-half"):
+        "751a97c3e8e69f14450db59cdae9178dcd5eb234303c9aefc7bd81fd0fd8ff1b",
+}
+
+
+class TestAttackedRunsMatchRecordedDigests:
     @pytest.mark.parametrize("protocol", BUILTIN_OVERLAYS)
     @pytest.mark.parametrize("scenario", ["eclipse-default", "byzantine-half"])
-    def test_object_and_columnar_runs_agree(self, protocol, scenario,
-                                            monkeypatch):
+    def test_run_record_is_unchanged(self, protocol, scenario):
         parameters = SimulationParameters.quick(
             seed=3, protocol=protocol, num_peers=80, num_keys=6,
             num_queries=24, duration_s=600.0, update_rate_per_hour=60.0)
         spec = ("eclipse" if scenario == "eclipse-default"
                 else byzantine_scenario_spec(0.5))
-        records = {}
-        for representation in ("object", "columnar"):
-            monkeypatch.setenv("REPRO_OVERLAY_REPRESENTATION", representation)
-            records[representation] = run_scenario(spec, parameters).to_dict()
-        assert records["object"] == records["columnar"]
+        record = run_scenario(spec, parameters).to_dict()
+        digest = hashlib.sha256(
+            json.dumps(record, sort_keys=True).encode()).hexdigest()
+        assert digest == ATTACKED_RUN_DIGESTS[(protocol, scenario)]

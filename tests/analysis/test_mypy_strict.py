@@ -12,7 +12,8 @@ import pytest
 pytest.importorskip("mypy")
 
 STRICT_TARGETS = ["-p", "repro.api", "-p", "repro.execution",
-                  "-m", "repro.dht.model", "-m", "repro.net.codec"]
+                  "-m", "repro.dht.accel", "-m", "repro.dht.model",
+                  "-m", "repro.net.codec"]
 
 
 def test_typed_islands_pass_mypy_strict(repo_root):

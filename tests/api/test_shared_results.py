@@ -99,25 +99,13 @@ class TestBatchResults:
         assert not partial.fully_replicated
 
 
-class TestDeprecatedBricksAliases:
-    def test_baseline_module_aliases_warn_and_resolve(self):
-        import repro.core.baseline as baseline
-
-        with pytest.warns(DeprecationWarning, match="BricksInsertResult"):
-            assert baseline.BricksInsertResult is InsertResult
-        with pytest.warns(DeprecationWarning, match="BricksRetrieveResult"):
-            assert baseline.BricksRetrieveResult is RetrieveResult
-
-    def test_core_package_forwards_the_aliases(self):
+class TestRemovedBricksAliases:
+    def test_legacy_result_names_are_gone(self):
         import repro.core as core
-
-        with pytest.warns(DeprecationWarning):
-            assert core.BricksInsertResult is InsertResult
-        with pytest.warns(DeprecationWarning):
-            assert core.BricksRetrieveResult is RetrieveResult
-
-    def test_unknown_attributes_still_raise(self):
         import repro.core.baseline as baseline
 
-        with pytest.raises(AttributeError):
-            baseline.NoSuchName  # noqa: B018
+        for module in (core, baseline):
+            for name in ("BricksInsertResult", "BricksRetrieveResult"):
+                assert name not in module.__all__
+                with pytest.raises(AttributeError):
+                    getattr(module, name)

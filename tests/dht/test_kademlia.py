@@ -15,7 +15,6 @@ from repro.dht.errors import (
     NoSuchPeerError,
 )
 from repro.dht.kademlia import (
-    KBucket,
     KademliaOverlay,
     RoutingTable,
     common_prefix_length,
@@ -72,52 +71,67 @@ class TestXorMetric:
             assert (a ^ b).bit_length() == BITS - shared
 
 
-class TestKBucket:
+class TestBucketUpdateRules:
+    """Kademlia's least-recently-seen rules on one bucket (bucket 7 of 0)."""
+
     def everyone_alive(self, contact):
         return True
 
     def nobody_alive(self, contact):
         return False
 
+    def table(self, k, *contacts):
+        table = RoutingTable(owner=0, bits=8, k=k)
+        for contact in contacts:
+            table.observe(contact, self.everyone_alive)
+        return table
+
     def test_new_contacts_append_in_seen_order(self):
-        bucket = KBucket(capacity=3)
-        for contact in (1, 2, 3):
-            assert bucket.observe(contact, self.everyone_alive)
-        assert bucket.contacts == [1, 2, 3]
+        table = self.table(3)
+        for contact in (129, 130, 131):
+            assert table.observe(contact, self.everyone_alive)
+        assert table.bucket(7) == [129, 130, 131]
 
     def test_observing_a_known_contact_moves_it_to_the_tail(self):
-        bucket = KBucket(capacity=3, contacts=[1, 2, 3])
-        bucket.observe(1, self.everyone_alive)
-        assert bucket.contacts == [2, 3, 1]
+        table = self.table(3, 129, 130, 131)
+        table.observe(129, self.everyone_alive)
+        assert table.bucket(7) == [130, 131, 129]
 
     def test_full_bucket_with_live_lrs_drops_the_newcomer(self):
-        bucket = KBucket(capacity=3, contacts=[1, 2, 3])
-        accepted = bucket.observe(99, self.everyone_alive)
+        table = self.table(3, 129, 130, 131)
+        accepted = table.observe(200, self.everyone_alive)
         assert not accepted
-        assert 99 not in bucket.contacts
+        assert 200 not in table.bucket(7)
         # The pinged least-recently-seen contact moved to the tail.
-        assert bucket.contacts == [2, 3, 1]
+        assert table.bucket(7) == [130, 131, 129]
 
     def test_full_bucket_with_departed_lrs_evicts_it(self):
-        bucket = KBucket(capacity=3, contacts=[1, 2, 3])
-        accepted = bucket.observe(99, self.nobody_alive)
+        table = self.table(3, 129, 130, 131)
+        accepted = table.observe(200, self.nobody_alive)
         assert accepted
-        assert bucket.contacts == [2, 3, 99]
+        assert table.bucket(7) == [130, 131, 200]
 
     def test_eviction_targets_the_least_recently_seen(self):
-        bucket = KBucket(capacity=2, contacts=[1, 2])
-        bucket.observe(1, self.everyone_alive)       # seen order now [2, 1]
-        bucket.observe(99, lambda contact: contact != 2)
-        assert bucket.contacts == [1, 99]
+        table = self.table(2, 129, 130)
+        table.observe(129, self.everyone_alive)       # seen order now [130, 129]
+        table.observe(200, lambda contact: contact != 130)
+        assert table.bucket(7) == [129, 200]
 
     def test_learned_contacts_never_displace_entries(self):
-        bucket = KBucket(capacity=2, contacts=[1, 2])
-        assert not bucket.learn(99)
-        assert bucket.contacts == [1, 2]
-        assert bucket.learn(1)  # already present
-        bucket.discard(2)
-        assert bucket.learn(99)
-        assert bucket.contacts == [1, 99]
+        table = self.table(2, 129, 130)
+        assert not table.learn(200)
+        assert table.bucket(7) == [129, 130]
+        assert table.learn(129)  # already present
+        table.discard(130)
+        assert table.learn(200)
+        assert table.bucket(7) == [129, 200]
+
+    def test_bucket_snapshots_are_copies(self):
+        table = self.table(4, 129)
+        snapshot = table.bucket(7)
+        snapshot.append(200)
+        assert table.bucket(7) == [129]
+        assert table.bucket(3) == []
 
 
 class TestRoutingTable:
@@ -139,7 +153,7 @@ class TestRoutingTable:
         for contact in (1, 2, 3, 128, 129):
             table.observe(contact, lambda c: True)
         assert set(table.contacts()) == {1, 2, 3, 128, 129}
-        assert table.bucket(7).contacts == [128, 129]
+        assert table.bucket(7) == [128, 129]
 
     def test_closest_orders_by_xor_distance(self):
         table = RoutingTable(owner=0, bits=8, k=8)

@@ -17,12 +17,9 @@ Covered here, per overlay:
 * service integration — a UMS insert/retrieve round-trip over a churning
   network returns the current replica with a recorded trace.
 
-The whole suite runs twice per overlay: once over the object representation
-and once over the columnar packed-array representation (selected through the
-``REPRO_OVERLAY_REPRESENTATION`` environment override), pinning that the two
-storage layouts are behaviourally interchangeable everywhere the services
-touch them.  Bit-exact equivalence (identical routes, traces and RNG
-streams) is pinned separately in ``test_columnar_parity.py``.
+Bit-exact behaviour (identical routes, traces and RNG streams) is pinned
+separately by the recorded counts in ``test_golden_counts.py``, and the
+packed indexes behind responsibility by ``test_overlay_oracles.py``.
 """
 
 from __future__ import annotations
@@ -42,14 +39,6 @@ BUILTIN_OVERLAYS = ("chord", "can", "kademlia")
 def test_suite_covers_every_registered_overlay():
     # If a new overlay is registered, add it to the parameterisation below.
     assert set(BUILTIN_OVERLAYS) == set(overlay_names())
-
-
-@pytest.fixture(params=("object", "columnar"), autouse=True)
-def representation(request, monkeypatch) -> str:
-    # Route every overlay build in the test (fixtures, create_overlay calls,
-    # build_service_stack) through the requested representation.
-    monkeypatch.setenv("REPRO_OVERLAY_REPRESENTATION", request.param)
-    return request.param
 
 
 @pytest.fixture(params=BUILTIN_OVERLAYS)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import socket
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from repro.api.cluster import Cluster
 from repro.net import codec
 from repro.net.client import NetClient, TransportError, connect
-from repro.net.server import NodeServer, ServerThread
+from repro.net.server import FaultSchedule, NodeServer, ServerThread
 
 
 class TestServerBasics:
@@ -128,6 +129,43 @@ class TestShutdown:
                 session.insert("k", {"v": 1})
             cluster.shutdown_server()
         assert server.requests_served >= 3  # info + insert + shutdown
+
+    def test_stop_flushes_the_replies_of_queued_requests(self):
+        requests = 12
+
+        async def scenario():
+            # The first (data-plane) reply is held back, so the rest of the
+            # burst is still queued behind it when stop() begins.
+            server = NodeServer(peers=8, replicas=3, seed=1,
+                                fault_schedule=FaultSchedule(
+                                    delay_replies={0: 0.05}))
+            await server.start(port=0)
+            reader, writer = await asyncio.open_connection(*server.tcp_address)
+            writer.write(codec.encode_frame(
+                {"id": 0, "op": "insert", "key": "k", "data": 1}))
+            writer.write(b"".join(codec.encode_frame({"id": index, "op": "ping"})
+                                  for index in range(1, requests)))
+            await writer.drain()
+            for _ in range(200):
+                if server.max_observed_inflight >= requests - 1:
+                    break
+                await asyncio.sleep(0.005)
+            assert server.requests_served < requests
+            await server.stop()
+            decoder = codec.FrameDecoder()
+            replies = []
+            while True:
+                chunk = await reader.read(64 * 1024)
+                if not chunk:
+                    break
+                replies.extend(decoder.feed(chunk))
+            writer.close()
+            return server, replies
+
+        server, replies = asyncio.run(scenario())
+        assert [reply["id"] for reply in replies] == list(range(requests))
+        assert all(reply["ok"] for reply in replies)
+        assert server.requests_served == requests
 
     def test_server_thread_stop_is_idempotent(self):
         thread = ServerThread(NodeServer(peers=8, replicas=3, seed=1))

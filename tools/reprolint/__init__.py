@@ -31,8 +31,7 @@ REP005
     ``repro.cli``/``repro.net`` importing ``repro.net``) fail the lint.
 REP006
     Public docstring coverage of the scanned tree stays at or above the
-    pinned threshold (folds ``tools/check_docstrings.py`` into this
-    analyzer's single JSON report).
+    pinned threshold (the repository's only docstring gate).
 
 Usage
 -----

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
-
-from tools.check_docstrings import iter_public_objects
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 __all__ = [
     "DETERMINISTIC_LAYERS",
@@ -25,6 +23,7 @@ __all__ = [
     "Suppression",
     "all_rules",
     "get_rule",
+    "iter_public_objects",
 ]
 
 #: Layers in which wall-clock/ambient-randomness findings are never expected
@@ -32,9 +31,8 @@ __all__ = [
 DETERMINISTIC_LAYERS = ("repro.core", "repro.dht", "repro.simulation",
                         "repro.api", "repro.execution")
 
-#: Public docstring coverage the scanned tree must keep (percent).  The same
-#: number ``tools/check_docstrings.py`` and ``tests/test_docs.py`` pin; the
-#: three must stay in sync.
+#: Public docstring coverage the scanned tree must keep (percent).  Raise it
+#: when coverage improves; lowering it needs a written justification.
 DOCSTRING_COVERAGE_THRESHOLD = 91.0
 
 #: Wall-clock reads forbidden by REP001 (resolved through import aliases).
@@ -428,6 +426,73 @@ def check_layering(ctx, layer_map) -> List[Finding]:
 
 
 # ---------------------------------------------------------------- REP006
+def _base_names(class_node: ast.ClassDef) -> List[str]:
+    """The plain names of a class's bases (``pkg.Base`` resolves to ``Base``)."""
+    names: List[str] = []
+    for base in class_node.bases:
+        if isinstance(base, ast.Name):
+            names.append(base.id)
+        elif isinstance(base, ast.Attribute):
+            names.append(base.attr)
+    return names
+
+
+def iter_public_objects(tree: ast.Module, module_label: str
+                        ) -> Iterator[Tuple[str, bool]]:
+    """Yield ``(qualified name, documented)`` for the module's public surface.
+
+    A method without its own docstring counts as documented when it overrides
+    a documented method of a base class defined in the same module — the same
+    resolution ``help()`` performs through the MRO, so overrides of a
+    documented contract are not flagged as missing documentation.
+    """
+    yield module_label, ast.get_docstring(tree) is not None
+    # First pass: collect classes (any nesting level) and their methods.
+    classes: dict = {}
+    stack: List[Tuple[ast.AST, str]] = [(tree, module_label)]
+    while stack:
+        node, prefix = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                      ast.AsyncFunctionDef)):
+                continue
+            if child.name.startswith("_"):
+                continue
+            qualified = f"{prefix}:{child.name}"
+            if isinstance(child, ast.ClassDef):
+                methods = {
+                    member.name: ast.get_docstring(member) is not None
+                    for member in child.body
+                    if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                }
+                classes[child.name] = (qualified, _base_names(child),
+                                       ast.get_docstring(child) is not None,
+                                       methods)
+                stack.append((child, qualified))
+            elif isinstance(node, ast.Module):
+                # Module-level function; methods are handled with their class.
+                yield qualified, ast.get_docstring(child) is not None
+
+    def inherited(method: str, bases: List[str], seen: frozenset) -> bool:
+        for base in bases:
+            if base in seen or base not in classes:
+                continue
+            _, base_bases, _, base_methods = classes[base]
+            if base_methods.get(method):
+                return True
+            if inherited(method, base_bases, seen | {base}):
+                return True
+        return False
+
+    for name, (qualified, bases, class_documented, methods) in classes.items():
+        yield qualified, class_documented
+        for method, documented in methods.items():
+            if method.startswith("_"):
+                continue
+            yield (f"{qualified}:{method}",
+                   documented or inherited(method, bases, frozenset({name})))
+
+
 def check_docstring_coverage(contexts) -> Tuple[List[Finding], Dict[str, object]]:
     """REP006: aggregate public docstring coverage of the scanned tree.
 
@@ -498,8 +563,7 @@ _RULES: Tuple[Rule, ...] = (
     Rule(id="REP006",
          summary=f"public docstring coverage >= "
                  f"{DOCSTRING_COVERAGE_THRESHOLD:.1f}% over the scanned tree",
-         layers="all of repro (aggregate, folded from "
-                "tools/check_docstrings.py)"),
+         layers="all of repro (aggregate over the scanned tree)"),
 )
 
 
