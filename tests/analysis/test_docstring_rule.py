@@ -87,3 +87,17 @@ def test_rep006_holds_on_src(repo_root):
         if not next(iter_public_objects(
             ast.parse(path.read_text(encoding="utf-8")), str(path)))[1]]
     assert undocumented_modules == []
+
+
+def test_scenario_modules_are_fully_documented(repo_root):
+    scenarios = repo_root / "src" / "repro" / "simulation" / "scenarios"
+    coverage = lint_paths([scenarios]).docstring_coverage
+    assert coverage["total"] > 0
+    assert coverage["documented"] == coverage["total"], coverage
+
+
+def test_ci_runs_reprolint_as_the_only_docstring_gate(repo_root):
+    workflow = (repo_root / ".github" / "workflows" / "ci.yml").read_text(
+        encoding="utf-8")
+    assert "python -m tools.reprolint src" in workflow
+    assert "check_docstrings" not in workflow

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from repro.api.results import (
@@ -100,12 +102,11 @@ class TestBatchResults:
 
 
 class TestRemovedBricksAliases:
-    def test_legacy_result_names_are_gone(self):
-        import repro.core as core
-        import repro.core.baseline as baseline
-
-        for module in (core, baseline):
-            for name in ("BricksInsertResult", "BricksRetrieveResult"):
-                assert name not in module.__all__
-                with pytest.raises(AttributeError):
-                    getattr(module, name)
+    @pytest.mark.parametrize("name", ("BricksInsertResult",
+                                      "BricksRetrieveResult"))
+    @pytest.mark.parametrize("module_name", ("repro.core", "repro.core.baseline"))
+    def test_legacy_result_names_are_gone(self, module_name, name):
+        module = importlib.import_module(module_name)
+        assert name not in module.__all__
+        with pytest.raises(AttributeError):
+            getattr(module, name)

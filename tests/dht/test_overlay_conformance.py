@@ -17,6 +17,10 @@ Covered here, per overlay:
 * service integration — a UMS insert/retrieve round-trip over a churning
   network returns the current replica with a recorded trace.
 
+Each check runs twice: at the identifier width it was written for, and at 64
+bits, the widest space the packed member columns hold, where finger targets,
+XOR distances and zone coordinates sit at the top of the unsigned range.
+
 Bit-exact behaviour (identical routes, traces and RNG streams) is pinned
 separately by the recorded counts in ``test_golden_counts.py``, and the
 packed indexes behind responsibility by ``test_overlay_oracles.py``.
@@ -46,14 +50,25 @@ def protocol_name(request) -> str:
     return request.param
 
 
-@pytest.fixture
-def network(protocol_name) -> DHTNetwork:
-    return DHTNetwork.build(24, protocol=protocol_name, seed=404)
+@pytest.fixture(params=(None, 64), ids=("default-bits", "64-bits"))
+def width(request):
+    """``None`` keeps each check's own identifier width; 64 widens it."""
+    return request.param
+
+
+def _bits(width, default: int) -> int:
+    return default if width is None else width
 
 
 @pytest.fixture
-def hash_fns(protocol_name):
-    return HashFamily(bits=32, seed=77).sample_many(4, prefix="hr")
+def network(protocol_name, width) -> DHTNetwork:
+    return DHTNetwork.build(24, protocol=protocol_name, seed=404,
+                            bits=_bits(width, 32))
+
+
+@pytest.fixture
+def hash_fns(network):
+    return HashFamily(bits=network.bits, seed=77).sample_many(4, prefix="hr")
 
 
 class TestLookupCorrectness:
@@ -76,6 +91,24 @@ class TestLookupCorrectness:
             assert route.path[-1] == responsible
             assert route.hops >= 0
             assert route.message_count == route.hops + route.retries
+
+    def test_untraced_and_traced_lookups_agree(self, network, hash_fns):
+        # The trace-free fast path resolves the responsible from the
+        # overlay's responsibility map; the traced path walks the route.
+        rng = random.Random(6)
+        for index in range(10):
+            key = f"key-{index}"
+            hash_fn = hash_fns[index % len(hash_fns)]
+            origin = network.protocol.random_node(rng)
+            assert network.put(key, hash_fn, index)
+            fast = network.lookup(key, hash_fn, origin=origin)
+            walked = network.lookup(key, hash_fn, origin=origin,
+                                    trace=network.new_trace())
+            assert (fast.point, fast.responsible) == (walked.point,
+                                                      walked.responsible)
+            assert fast.route.path[0] == walked.route.path[0] == origin
+            entry = network.peer(walked.responsible).store.get(hash_fn.name, key)
+            assert entry is not None and entry.data == index
 
     def test_responsible_is_always_live(self, network):
         rng = random.Random(9)
@@ -131,25 +164,29 @@ class TestChurnHandover:
                 entry = network.get(key, hash_fn)
                 assert entry is not None, (key, hash_fn.name)
 
-    def test_next_responsible_predicts_the_departure_takeover(self, protocol_name):
-        overlay = create_overlay(protocol_name, bits=16, rng=random.Random(2))
+    def test_next_responsible_predicts_the_departure_takeover(self, protocol_name,
+                                                              width):
+        bits = _bits(width, 16)
+        overlay = create_overlay(protocol_name, bits=bits, rng=random.Random(2))
         rng = random.Random(3)
         for _ in range(20):
-            node_id = rng.randrange(1 << 16)
+            node_id = rng.randrange(1 << bits)
             if node_id not in overlay:
                 overlay.add_node(node_id)
-        for point in (0, 513, 40_000, 65_535):
+        scale = 1 << (bits - 16)
+        for point in (0, 513 * scale, 40_000 * scale, (1 << bits) - 1):
             predicted = overlay.next_responsible(point)
             assert predicted is not None
             overlay.remove_node(overlay.responsible_for(point))
             assert overlay.responsible_for(point) == predicted
 
-    def test_join_affected_set_names_only_live_nodes(self, protocol_name):
-        overlay = create_overlay(protocol_name, bits=16, rng=random.Random(4))
+    def test_join_affected_set_names_only_live_nodes(self, protocol_name, width):
+        bits = _bits(width, 16)
+        overlay = create_overlay(protocol_name, bits=bits, rng=random.Random(4))
         rng = random.Random(5)
         members = set()
         for _ in range(25):
-            node_id = rng.randrange(1 << 16)
+            node_id = rng.randrange(1 << bits)
             if node_id in overlay:
                 continue
             affected = overlay.add_node(node_id)
@@ -184,9 +221,10 @@ class TestMessageAccounting:
 
 
 class TestServiceIntegration:
-    def test_ums_round_trip_over_a_churning_network(self, protocol_name):
+    def test_ums_round_trip_over_a_churning_network(self, protocol_name, width):
         stack = build_service_stack(num_peers=40, num_replicas=6,
-                                    protocol=protocol_name, seed=1234)
+                                    protocol=protocol_name,
+                                    bits=_bits(width, 32), seed=1234)
         rng = random.Random(99)
         stack.ums.insert("the-doc", {"rev": 0})
         for revision in range(1, 4):
@@ -205,9 +243,10 @@ class TestServiceIntegration:
         assert result.is_current
         assert result.trace.message_count > 0
 
-    def test_kts_counters_survive_overlay_churn(self, protocol_name):
+    def test_kts_counters_survive_overlay_churn(self, protocol_name, width):
         stack = build_service_stack(num_peers=30, num_replicas=5,
-                                    protocol=protocol_name, seed=77)
+                                    protocol=protocol_name,
+                                    bits=_bits(width, 32), seed=77)
         first = stack.kts.gen_ts("a-key")
         for _ in range(10):
             stack.network.leave_peer(stack.network.random_alive_peer())

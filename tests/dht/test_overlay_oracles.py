@@ -11,10 +11,12 @@ against the obvious definition, written out in a few lines:
 * Kademlia — the XOR minimum (and runner-up) over the live members, and a
   list-based least-recently-seen bucket for ``observe``/``learn``/
   ``discard``/``closest``;
-* CAN — a linear scan over every zone for point ownership.
+* CAN — a linear scan over every zone for point ownership, and the zones
+  as a partition of the coordinate space.
 
 The network-level checks run after arbitrary join/leave/fail/put/get/lookup
-sequences chosen by hypothesis.  Bit-identity of whole workloads (routes,
+sequences chosen by hypothesis, at the default 32-bit identifier space and at
+the full 64 bits a packed column holds.  Bit-identity of whole workloads (routes,
 message counts, RNG streams) is pinned by ``test_golden_counts.py``.
 """
 
@@ -38,10 +40,13 @@ from repro.dht.network import DHTNetwork
 churn_ops = st.lists(st.integers(min_value=0, max_value=5), min_size=1,
                      max_size=40)
 
+#: Identifier widths the churn oracles run at: the default and the maximum.
+WIDTHS = pytest.mark.parametrize("bits", (32, 64))
 
-def _churned_network(protocol: str, ops) -> DHTNetwork:
-    network = DHTNetwork.build(10, protocol=protocol, seed=90)
-    hash_fn = HashFamily(bits=32, seed=3).sample("hc")
+
+def _churned_network(protocol: str, ops, bits: int = 32) -> DHTNetwork:
+    network = DHTNetwork.build(10, protocol=protocol, seed=90, bits=bits)
+    hash_fn = HashFamily(bits=bits, seed=3).sample("hc")
     for index, op in enumerate(ops):
         if op == 0:
             network.join_peer()
@@ -86,10 +91,11 @@ def _zone_scan(space: CanSpace, coords):
 
 
 class TestChordAgainstSortedList:
+    @WIDTHS
     @settings(max_examples=25, deadline=None)
     @given(ops=churn_ops)
-    def test_responsibility_and_fingers(self, ops):
-        network = _churned_network("chord", ops)
+    def test_responsibility_and_fingers(self, bits, ops):
+        network = _churned_network("chord", ops, bits)
         ring = network.protocol
         members = sorted(ring.nodes())
         for point in _probe_points(network, len(ops)):
@@ -103,12 +109,33 @@ class TestChordAgainstSortedList:
             ring.refresh_fingers(node, now=network.now)
             assert ring.finger_table(node, now=network.now) == expected
 
-
-class TestKademliaAgainstXorMinimum:
+    @WIDTHS
     @settings(max_examples=25, deadline=None)
     @given(ops=churn_ops)
-    def test_responsible_and_next_responsible(self, ops):
-        network = _churned_network("kademlia", ops)
+    def test_neighbours_and_next_responsible(self, bits, ops):
+        network = _churned_network("chord", ops, bits)
+        ring = network.protocol
+        members = sorted(ring.nodes())
+        for point in _probe_points(network, len(ops)):
+            # nrsp: the successor of the responsible, i.e. the next member.
+            owner = _successor(members, point)
+            expected = members[(members.index(owner) + 1) % len(members)]
+            assert ring.next_responsible(point) == (
+                expected if len(members) > 1 else None)
+        for position, node in enumerate(members):
+            assert ring.predecessor(node) == members[position - 1]
+            assert ring.claimed_span(node) == (
+                (members[position - 1], node) if len(members) > 1 else None)
+            following = members[position + 1:] + members[:position]
+            assert ring.successor_list(node, 4) == following[:4]
+
+
+class TestKademliaAgainstXorMinimum:
+    @WIDTHS
+    @settings(max_examples=25, deadline=None)
+    @given(ops=churn_ops)
+    def test_responsible_and_next_responsible(self, bits, ops):
+        network = _churned_network("kademlia", ops, bits)
         overlay = network.protocol
         members = list(overlay.nodes())
         for point in _probe_points(network, len(ops)):
@@ -160,15 +187,18 @@ class _ListBucketTable:
 
 
 class TestRoutingTableAgainstListBuckets:
+    # k=1 evicts or drops on every new contact; 64 bits puts half of the
+    # contacts into the top bucket, next to the largest packable identifiers.
+    @pytest.mark.parametrize("bits, k", ((16, 3), (16, 1), (64, 20)))
     @settings(max_examples=40, deadline=None)
     @given(steps=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 63)),
                           max_size=300),
            seed=st.integers(0, 2**16))
-    def test_update_sequences_match(self, steps, seed):
+    def test_update_sequences_match(self, bits, k, steps, seed):
         rng = random.Random(seed)
-        pool = [rng.randrange(1 << 16) for _ in range(64)]
-        table = RoutingTable(owner=0, bits=16, k=3)
-        oracle = _ListBucketTable(owner=0, k=3)
+        pool = [rng.randrange(1 << bits) for _ in range(64)]
+        table = RoutingTable(owner=0, bits=bits, k=k)
+        oracle = _ListBucketTable(owner=0, k=k)
 
         def is_alive(contact: int) -> bool:
             return contact % 2 == 0
@@ -187,7 +217,7 @@ class TestRoutingTableAgainstListBuckets:
         for index, bucket in oracle.buckets.items():
             assert table.bucket(index) == bucket
         for _ in range(10):
-            point = rng.randrange(1 << 16)
+            point = rng.randrange(1 << bits)
             for count in (1, 3, 8, 64):
                 expected = sorted(oracle.contacts(),
                                   key=lambda contact: contact ^ point)[:count]
@@ -195,18 +225,37 @@ class TestRoutingTableAgainstListBuckets:
 
 
 class TestCanAgainstZoneScan:
+    @WIDTHS
     @settings(max_examples=25, deadline=None)
     @given(ops=churn_ops)
-    def test_owner_of_matches_a_linear_scan(self, ops):
-        network = _churned_network("can", ops)
+    def test_owner_of_matches_a_linear_scan(self, bits, ops):
+        network = _churned_network("can", ops, bits)
         space = network.protocol
         for point in _probe_points(network, len(ops)):
             coords = space.coordinates(point)
             assert space._owner_of(coords) == _zone_scan(space, coords)
             assert space.responsible_for(point) == _zone_scan(space, coords)
 
-    def test_zone_index_mirrors_the_zone_table_under_churn(self):
-        space = CanSpace(bits=16, dimensions=2, rng=random.Random(8))
+    @WIDTHS
+    @settings(max_examples=25, deadline=None)
+    @given(ops=churn_ops)
+    def test_zones_partition_the_space(self, bits, ops):
+        # Every point has exactly one owner: the live zones are pairwise
+        # disjoint and their volumes add up to the whole coordinate space.
+        network = _churned_network("can", ops, bits)
+        space = network.protocol
+        zones = [zone for node in space.nodes() for zone in space.zones_of(node)]
+        assert sum(zone.volume for zone in zones) == \
+            space.axis_size ** space.dimensions
+        for index, zone in enumerate(zones):
+            for other in zones[index + 1:]:
+                assert any(zone.hi[axis] <= other.lo[axis]
+                           or other.hi[axis] <= zone.lo[axis]
+                           for axis in range(space.dimensions))
+
+    @pytest.mark.parametrize("dimensions", (2, 3))
+    def test_zone_index_mirrors_the_zone_table_under_churn(self, dimensions):
+        space = CanSpace(bits=16, dimensions=dimensions, rng=random.Random(8))
         rng = random.Random(9)
         members = []
         for _ in range(120):
@@ -226,8 +275,9 @@ class TestCanAgainstZoneScan:
             coords = space.coordinates(rng.randrange(1 << 16))
             assert space._owner_of(coords) == _zone_scan(space, coords)
 
-    def test_packed_zone_keys_are_unique_per_zone(self):
-        space = CanSpace(bits=16, dimensions=2, rng=random.Random(4))
+    @pytest.mark.parametrize("dimensions", (2, 3))
+    def test_packed_zone_keys_are_unique_per_zone(self, dimensions):
+        space = CanSpace(bits=16, dimensions=dimensions, rng=random.Random(4))
         for node_id in range(0, 4000, 67):
             space.add_node(node_id)
         keys = [space._pack_zone(zone)

@@ -31,6 +31,16 @@ class TestBuiltins:
         assert isinstance(overlay, expected_type)
         assert overlay.bits == 16
 
+    @pytest.mark.parametrize("name, expected_type", [
+        ("chord", ChordRing),
+        ("can", CanSpace),
+        ("kademlia", KademliaOverlay),
+    ])
+    def test_network_reports_the_overlay_class_name(self, name, expected_type):
+        network = DHTNetwork(name, bits=16, seed=1)
+        assert type(network.protocol) is expected_type
+        assert f"protocol={expected_type.__name__}," in repr(network)
+
     def test_names_are_case_insensitive(self):
         assert registry.is_registered("CHORD")
         overlay = registry.create_overlay("Kademlia", bits=16)

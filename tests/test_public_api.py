@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import importlib
+
+import pytest
+
 import repro
 from repro.core import errors as core_errors
 from repro.dht import errors as dht_errors
@@ -97,3 +101,13 @@ class TestDocumentationArtifacts:
         for name in modules:
             module = importlib.import_module(name)
             assert module.__doc__ and len(module.__doc__.strip()) > 20, name
+
+
+class TestRemovedModules:
+    @pytest.mark.parametrize("module_name", (
+        "repro.sim", "repro.sim.cost", "repro.sim.engine", "repro.sim.metrics",
+        "repro.sim.processes"))
+    def test_retired_modules_are_gone(self, module_name):
+        # repro.sim forwarded to repro.simulation until 1.8.0.
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module_name)
